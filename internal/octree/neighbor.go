@@ -13,14 +13,17 @@ type Face struct {
 	Plus bool
 }
 
+// allFaces lists the faces of a 3D cell; a dim-dimensional cell's faces are
+// its first 2·dim entries.
+var allFaces = [...]Face{{0, false}, {0, true}, {1, false}, {1, true}, {2, false}, {2, true}}
+
 // Faces returns the faces of a dim-dimensional cell in a fixed order:
-// -x, +x, -y, +y, (-z, +z).
+// -x, +x, -y, +y, (-z, +z). The slice is shared and read-only: callers must
+// not mutate it (its capacity is capped, so appending copies).
+//
+//alloc:zero
 func Faces(dim int) []Face {
-	out := make([]Face, 0, 2*dim)
-	for axis := 0; axis < dim; axis++ {
-		out = append(out, Face{axis, false}, Face{axis, true})
-	}
-	return out
+	return allFaces[: 2*dim : 2*dim]
 }
 
 // FaceNeighbor returns the same-level key sharing the given face of k, and

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"optipart/internal/comm"
 	"optipart/internal/machine"
@@ -137,7 +138,7 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 		Rounds:      sel.rounds,
 		AchievedTol: achieved,
 	}
-	res.Quality = EvaluateQuality(c, curve, local, sp)
+	res.Quality = sel.quality(sp)
 	res.Predicted = res.Quality.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
 
 	if opts.SkipExchange {
@@ -162,10 +163,7 @@ func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters, st
 	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{StageWidth: stageWidth})
 
 	c.SetPhase("local sort")
-	var mine []sfc.Key
-	for _, run := range recv {
-		mine = append(mine, run...)
-	}
+	mine := slices.Concat(recv...)
 	psort.ChargeLocalSort(c, curve, mine)
 	return mine
 }
@@ -187,7 +185,7 @@ func runModelDriven(c *comm.Comm, sel *selector, opts Options) (*Splitters, floa
 	}
 	best := sel.snap()
 	bestTol := sel.achievedTolerance()
-	bestQ := EvaluateQuality(c, sel.curve, sel.local, best)
+	bestQ := sel.quality(best)
 	// A start so coarse that a rank owns nothing is never acceptable (the
 	// paper's tolerances keep every partition populated); refine past it.
 	for bestQ.Wmin == 0 && bestQ.N >= int64(c.Size()) {
@@ -196,7 +194,7 @@ func runModelDriven(c *comm.Comm, sel *selector, opts Options) (*Splitters, floa
 		}
 		best = sel.snap()
 		bestTol = sel.achievedTolerance()
-		bestQ = EvaluateQuality(c, sel.curve, sel.local, best)
+		bestQ = sel.quality(best)
 	}
 	bestT := bestQ.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
 
@@ -205,7 +203,7 @@ func runModelDriven(c *comm.Comm, sel *selector, opts Options) (*Splitters, floa
 			return best, bestTol
 		}
 		cand := sel.snap()
-		q := EvaluateQuality(c, sel.curve, sel.local, cand)
+		q := sel.quality(cand)
 		t := q.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
 		if t > bestT {
 			// The model says further balancing costs more than it saves.

@@ -63,25 +63,87 @@ func (q Quality) PredictKernel(m machine.Machine, alpha float64, payloadBytes in
 // the exchange a rank's local elements are only a sample of each candidate
 // partition, we sum per-partition counts across ranks instead, which
 // measures the same quantity exactly rather than approximately.
+//
+// The scan runs in rank space (see neighborSpan); local need not be sorted.
+// Partition and Repartition price their candidates through the selector's
+// cached ranks and spans instead, so the curve is walked once per call
+// rather than once per candidate.
 func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) Quality {
-	p := sp.P()
-	counts := make([]int64, 2*p) // [work per partition | boundary per partition]
-	for _, k := range local {
-		o := sp.Owner(k)
-		counts[o]++
-		for _, f := range octree.Faces(curve.Dim) {
-			nk, ok := octree.FaceNeighbor(k, f)
-			if !ok {
-				continue
-			}
-			if sp.Owner(nk) != o {
-				counts[p+o]++
-				break
-			}
+	ranks := make([]sfc.Rank128, len(local))
+	spans := make([]span, len(local))
+	for i, k := range local {
+		ranks[i] = curve.Rank(k)
+		spans[i] = neighborSpan(curve, k, ranks[i])
+	}
+	return quality(c, curve.Dim, sp, ranks, spans)
+}
+
+// span is the closed rank interval covering an element and its in-domain
+// same-size face neighbors. An element without such neighbors (a level-0
+// root, say) spans just its own rank.
+type span struct{ lo, hi sfc.Rank128 }
+
+// neighborSpan returns the span of key k, whose own rank is self. It
+// depends only on the element, never on the splitters, so it is computed
+// once per element and reused for every candidate partition.
+//
+//alloc:zero
+func neighborSpan(curve *sfc.Curve, k sfc.Key, self sfc.Rank128) span {
+	s := span{self, self}
+	for _, f := range octree.Faces(curve.Dim) {
+		nk, ok := octree.FaceNeighbor(k, f)
+		if !ok {
+			continue
+		}
+		r := curve.Rank(nk)
+		if r.Less(s.lo) {
+			s.lo = r
+		}
+		if s.hi.Less(r) {
+			s.hi = r
 		}
 	}
+	return s
+}
+
+// quality is Algorithm 2 over precomputed element ranks and spans. An
+// element owned by partition o has its rank, and hence a point of its span,
+// in o's contiguous owner range [L, H) = [sepRanks[o-1], sepRanks[o]). Some
+// neighbor falls in another partition exactly when the span leaves that
+// range: lo < L or hi ≥ H. The owner is re-located by binary search only
+// when an element's rank leaves the current range, which along a sorted
+// array happens at most p-1 times.
+func quality(c *comm.Comm, dim int, sp *Splitters, ranks []sfc.Rank128, spans []span) Quality {
+	p := sp.P()
+	seps := sp.ranks()
+	counts := make([]int64, 2*p) // [work per partition | boundary per partition]
+	o, lo, hi := -1, sfc.MaxRank128, sfc.Rank128{}
+	for i, r := range ranks {
+		if r.Less(lo) || !r.Less(hi) {
+			o = sp.ownerOfRank(r)
+			lo, hi = sfc.Rank128{}, sfc.MaxRank128
+			if o > 0 {
+				lo = seps[o-1]
+			}
+			if o < p-1 {
+				hi = seps[o]
+			}
+		}
+		counts[o]++
+		if s := spans[i]; s.lo.Less(lo) || !s.hi.Less(hi) {
+			counts[p+o]++
+		}
+	}
+	return reduceQuality(c, dim, len(ranks), counts)
+}
+
+// reduceQuality charges the scan of n local elements as the paper's
+// per-neighbor loop pays it, sums the per-partition counts
+// ([work | boundary], 2p entries) across ranks, and extracts the extrema.
+func reduceQuality(c *comm.Comm, dim, n int, counts []int64) Quality {
+	p := len(counts) / 2
 	// One pass over the elements: each touched 1+2·dim times.
-	c.Compute(int64(len(local)) * int64(1+2*curve.Dim) * psort.KeyBytes)
+	c.Compute(int64(n) * int64(1+2*dim) * psort.KeyBytes)
 	global := comm.Allreduce(c, counts, 8, comm.SumI64)
 
 	q := Quality{Wmin: math.MaxInt64, Cmin: math.MaxInt64}

@@ -38,15 +38,17 @@ type bucket struct {
 //
 // The weight callback is evaluated exactly once per local element, at
 // construction; every later per-round range sum is a prefix-sum difference.
-// Likewise each element's curve rank is linearized once, so the per-round
-// bucket classification is a handful of binary searches over integers
-// instead of a tree-walking scan.
+// Likewise each element's curve rank and neighbor span are linearized once,
+// so the per-round bucket classification is a handful of binary searches
+// over integers instead of a tree-walking scan, and every candidate's
+// quality is two integer compares per element.
 type selector struct {
 	c       *comm.Comm
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
-	pw      []int64       // pw[i] = sum of weights of local[:i]
+	spans   []span        // spans[i] = neighborSpan(curve, local[i], ranks[i])
+	pw      []int64       // pw[i] = sum of weights of local[:i]; nil when unweighted
 	buckets []bucket
 	targets []int64 // ideal global splitter ranks r·W/p, r = 1..p-1
 	n       int64   // global work (sum of weights; element count when unweighted)
@@ -56,49 +58,72 @@ type selector struct {
 }
 
 func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, kmax int, weight func(sfc.Key) int64) *selector {
-	if weight == nil {
-		weight = func(sfc.Key) int64 { return 1 }
-	}
+	n := len(local)
 	s := &selector{c: c, curve: curve, local: local, kmax: kmax}
-	p := c.Size()
+	s.ranks = make([]sfc.Rank128, n)
+	s.spans = make([]span, n)
+	var w []int64
+	if weight != nil {
+		w = make([]int64, n)
+	}
+	// Weight is evaluated exactly once per element, possibly from pool
+	// workers (Options.Weight requires a pure function).
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.ranks[i] = curve.Rank(local[i])
+			s.spans[i] = neighborSpan(curve, local[i], s.ranks[i])
+			if w != nil {
+				w[i] = weight(local[i])
+			}
+		}
+	}
+	if par.Workers() > 1 && n >= parCutoff {
+		par.For(n, parGrain, fill)
+	} else {
+		fill(0, n)
+	}
+	if w != nil {
+		// The integer prefix sum is exact at every pool width.
+		s.pw = make([]int64, n+1)
+		par.PrefixSum(s.pw, w, parGrain)
+	}
+	s.start()
+	return s
+}
+
+// reseed returns a fresh selector over the same elements, sharing s's
+// ranks, spans and weight prefix sums: only the bucket tree starts over.
+func (s *selector) reseed() *selector {
+	t := &selector{c: s.c, curve: s.curve, local: s.local, ranks: s.ranks, spans: s.spans, pw: s.pw, kmax: s.kmax}
+	t.start()
+	return t
+}
+
+// start reduces the global work and sets up the root bucket and the ideal
+// splitter targets.
+func (s *selector) start() {
+	p := s.c.Size()
 	if s.kmax <= 0 {
 		s.kmax = p
 	}
-	s.ranks = make([]sfc.Rank128, len(local))
-	s.pw = make([]int64, len(local)+1)
-	if par.Workers() > 1 && len(local) >= parCutoff {
-		// Weight is still evaluated exactly once per element, just from pool
-		// workers (Options.Weight requires a pure function). The integer
-		// prefix sum is exact, so pw matches the serial loop bit-for-bit.
-		w := make([]int64, len(local))
-		par.For(len(local), parGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.ranks[i] = curve.Rank(local[i])
-				w[i] = weight(local[i])
-			}
-		})
-		par.PrefixSum(s.pw, w, parGrain)
-	} else {
-		for i, k := range local {
-			s.ranks[i] = curve.Rank(k)
-			s.pw[i+1] = s.pw[i] + weight(k)
-		}
-	}
-	localW := s.pw[len(local)]
-	s.n = comm.AllreduceScalar(c, localW, 8, comm.SumI64)
+	s.n = comm.AllreduceScalar(s.c, s.weightRange(0, len(s.local)), 8, comm.SumI64)
 	s.buckets = []bucket{{
 		key:   sfc.RootKey,
-		state: curve.RootState(),
+		state: s.curve.RootState(),
 		count: s.n,
 		start: 0,
 		lo:    0,
-		hi:    len(local),
+		hi:    len(s.local),
 	}}
 	s.targets = make([]int64, p-1)
 	for r := 1; r < p; r++ {
 		s.targets[r-1] = int64(r) * s.n / int64(p)
 	}
-	return s
+}
+
+// quality evaluates Algorithm 2 for sp over the cached ranks and spans.
+func (s *selector) quality(sp *Splitters) Quality {
+	return quality(s.c, s.curve.Dim, sp, s.ranks, s.spans)
 }
 
 // grain returns the ideal per-rank load N/p.
@@ -305,9 +330,12 @@ func (s *selector) splitChunk(idxs []int) {
 }
 
 // weightRange sums the weights of local elements in [lo, hi) as a prefix-sum
-// difference; the weight callback itself ran once per element at
-// construction.
+// difference (the element count when unweighted); the weight callback itself
+// ran once per element at construction.
 func (s *selector) weightRange(lo, hi int) int64 {
+	if s.pw == nil {
+		return int64(hi - lo)
+	}
 	return s.pw[hi] - s.pw[lo]
 }
 

@@ -93,7 +93,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// Rung zero: keep the prior placement verbatim. Its quality is the
 	// baseline objective; it moves nothing.
 	best := prior
-	bestQ := EvaluateQuality(c, curve, local, prior)
+	bestQ := sel.quality(prior)
 	bestTp := bestQ.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
 	bestJ := opts.Horizon * bestTp
 	var bestMoved int64
@@ -143,7 +143,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 				}
 			}
 			cand := mergeSeps(curve, prior, sel, violated, violatedIdx)
-			q := EvaluateQuality(c, curve, local, cand)
+			q := sel.quality(cand)
 			moved := MovedElements(c, local, prior, cand)
 			bytes := moved * int64(opts.PayloadBytes)
 			tp := q.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
@@ -176,7 +176,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// competes on J against both the kept prior and the violated-only
 	// merges above, so a re-aim is adopted only when its movement pays for
 	// itself within the horizon.
-	walk := newSelector(c, curve, local, opts.MaxSplitters, opts.Weight)
+	walk := sel.reseed()
 	coarse := int64(walk.grain() / 2)
 	for walk.worstDeviation() > coarse {
 		if !walk.refineRound(coarse) {
@@ -186,7 +186,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	walkT := math.Inf(1)
 	for {
 		cand := walk.snap()
-		q := EvaluateQuality(c, curve, local, cand)
+		q := walk.quality(cand)
 		if !(q.Wmin == 0 && q.N >= int64(p)) {
 			tp := q.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
 			moved := MovedElements(c, local, prior, cand)

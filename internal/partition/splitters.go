@@ -67,6 +67,11 @@ func (s *Splitters) Owner(k sfc.Key) int {
 	if !IsInf(k) {
 		kr = s.Curve.Rank(k)
 	}
+	return s.ownerOfRank(kr)
+}
+
+// ownerOfRank returns the partition owning the key of curve rank kr.
+func (s *Splitters) ownerOfRank(kr sfc.Rank128) int {
 	// First separator strictly after k; equality means the separator is at
 	// or before k, so it counts toward the owner index.
 	i, _ := slices.BinarySearchFunc(s.ranks(), kr, func(sep, kr sfc.Rank128) int {

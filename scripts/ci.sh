@@ -65,6 +65,11 @@ echo "==> service/alloc dedicated race pass"
 # it gets its own -race pass on top of the suite-wide one.
 go test -race -shuffle=on -count=1 ./internal/service ./internal/alloc
 
+echo "==> quality-oracle fuzz smoke"
+# The rank-space Algorithm 2 scan against the literal per-neighbor oracle,
+# under fuzzed element sets and separator lists (RootKey, InfKey, repeats).
+go test -run '^$' -fuzz FuzzQualityMatchesOracle -fuzztime 10s ./internal/partition
+
 echo "==> hot-path benchmark smoke"
 go test -run '^$' -bench 'TreeSort|Partition' -benchtime 1x .
 go test -run '^$' -bench 'Transport' -benchtime 1x ./internal/comm
