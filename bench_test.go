@@ -115,6 +115,36 @@ func BenchmarkHilbertRank(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkHilbertFaceSpan prices one element's neighbor span, the
+// selector's per-element fill for Algorithm 2: the fused kernel (one
+// descent, each face neighbor resumed from the element's saved state)
+// against ranking the element and its six face neighbors from the root.
+func BenchmarkHilbertFaceSpan(b *testing.B) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	keys := benchKeys(1024)
+	b.Run("fused", func(b *testing.B) {
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			_, lo, hi := curve.FaceSpan(keys[i%len(keys)])
+			sink += lo.Lo ^ hi.Lo
+		}
+		_ = sink
+	})
+	b.Run("rank7", func(b *testing.B) {
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			sink += curve.Rank(k).Lo
+			for _, f := range octree.Faces(3) {
+				if nk, ok := octree.FaceNeighbor(k, f); ok {
+					sink += curve.Rank(nk).Lo
+				}
+			}
+		}
+		_ = sink
+	})
+}
+
 func BenchmarkMortonRank(b *testing.B) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	keys := benchKeys(1024)
@@ -135,14 +165,36 @@ func BenchmarkBalance21(b *testing.B) {
 	}
 }
 
+// benchInputs generates p per-rank inputs of n keys once and returns a run
+// that copies them into reused buffers with b's timer stopped, then times
+// body on a p-rank Clemson-32 world, each rank with its fresh copy. The
+// benchmark thus prices the algorithm, not the input generator, and body
+// may sort its input in place.
+func benchInputs(p, n int) func(b *testing.B, body func(c *comm.Comm, local []sfc.Key)) {
+	inputs := make([][]sfc.Key, p)
+	work := make([][]sfc.Key, p)
+	for r := range inputs {
+		inputs[r] = octree.RandomKeys(rand.New(rand.NewSource(int64(r))), n, 3, octree.Normal, 2, 18)
+		work[r] = make([]sfc.Key, n)
+	}
+	cost := machine.Clemson32().CostModel()
+	return func(b *testing.B, body func(c *comm.Comm, local []sfc.Key)) {
+		b.StopTimer()
+		for r := range work {
+			copy(work[r], inputs[r])
+		}
+		b.StartTimer()
+		comm.Run(p, cost, func(c *comm.Comm) { body(c, work[c.Rank()]) })
+	}
+}
+
 func benchPartition(b *testing.B, mode partition.Mode, kmax int) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	m := machine.Clemson32()
+	run := benchInputs(16, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm.Run(16, m.CostModel(), func(c *comm.Comm) {
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			local := octree.RandomKeys(rng, 4096, 3, octree.Normal, 2, 18)
+		run(b, func(c *comm.Comm, local []sfc.Key) {
 			partition.Partition(c, local, partition.Options{
 				Curve: curve, Mode: mode, Tol: 0.3, Machine: m, MaxSplitters: kmax,
 			})
@@ -156,12 +208,10 @@ func BenchmarkPartitionOptiPart(b *testing.B)  { benchPartition(b, partition.Mod
 
 func BenchmarkSampleSortBaseline(b *testing.B) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	m := machine.Clemson32()
+	run := benchInputs(16, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comm.Run(16, m.CostModel(), func(c *comm.Comm) {
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			local := octree.RandomKeys(rng, 4096, 3, octree.Normal, 2, 18)
+		run(b, func(c *comm.Comm, local []sfc.Key) {
 			psort.SampleSort(c, local, psort.SampleSortOptions{Curve: curve})
 		})
 	}
@@ -326,35 +376,24 @@ func BenchmarkTreeSortLarge(b *testing.B) {
 // inputs are generated once; each run partitions a fresh copy of them
 // (Partition sorts in place), made outside the timed region.
 func BenchmarkPartitionE2E(b *testing.B) {
-	const p = 16
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	m := machine.Clemson32()
-	inputs := make([][]sfc.Key, p)
-	work := make([][]sfc.Key, p)
-	for r := range inputs {
-		inputs[r] = octree.RandomKeys(rand.New(rand.NewSource(int64(r))), 1<<15, 3, octree.Normal, 2, 18)
-		work[r] = make([]sfc.Key, len(inputs[r]))
+	run := benchInputs(16, 1<<15)
+	op := func(b *testing.B) {
+		run(b, func(c *comm.Comm, local []sfc.Key) {
+			partition.Partition(c, local, partition.Options{
+				Curve: curve, Mode: partition.EqualWork, Tol: 0.3, Machine: m,
+			})
+		})
 	}
 	for _, w := range benchWorkerCounts(b) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			prev := optipart.SetWorkers(w)
 			defer optipart.SetWorkers(prev)
-			run := func() {
-				b.StopTimer()
-				for r := range work {
-					copy(work[r], inputs[r])
-				}
-				b.StartTimer()
-				comm.Run(p, m.CostModel(), func(c *comm.Comm) {
-					partition.Partition(c, work[c.Rank()], partition.Options{
-						Curve: curve, Mode: partition.EqualWork, Tol: 0.3, Machine: m,
-					})
-				})
-			}
-			run() // untimed warm-up after the width switch (GC pacer, pools)
+			op(b) // untimed warm-up after the width switch (GC pacer, pools)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run()
+				op(b)
 			}
 		})
 	}

@@ -722,6 +722,7 @@ type Worker struct {
 	cond       *sync.Cond
 	results    map[uint64]*Frame // parked results by seq (replay can arrive in bursts)
 	cancelled  bool
+	abortErr   error  // the remote failure that cancelled the world, if any
 	awaiting   uint64 // seq of the result Step is blocked on; noSeq if none
 	pendingDep []byte // encoded deposit frame of the in-flight step
 	lastOpName string
@@ -976,8 +977,14 @@ func (w *Worker) reconnect() stdnet.Conn {
 
 // remoteAbort tears the world down for a failure that did not originate in
 // this rank's program — the cancellation is marked locally first so Cancel
-// does not echo the abort back to the root.
+// does not echo the abort back to the root. The reason is stored with it, so
+// a Step woken by the cancellation reports it even before failWorld runs.
 func (w *Worker) remoteAbort(err error) {
+	w.mu.Lock()
+	if w.abortErr == nil {
+		w.abortErr = err
+	}
+	w.mu.Unlock()
 	w.cancelLocal()
 	w.failWorld(err)
 }
@@ -1082,8 +1089,9 @@ func (w *Worker) Step(st *comm.StepState) any {
 	w.mu.Lock()
 	for {
 		if w.cancelled {
+			err := w.abortErr
 			w.mu.Unlock()
-			st.Abort(nil)
+			st.Abort(err)
 		}
 		if w.results[seq] != nil {
 			break

@@ -5,7 +5,6 @@ import (
 
 	"optipart/internal/comm"
 	"optipart/internal/machine"
-	"optipart/internal/octree"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
@@ -64,7 +63,7 @@ func (q Quality) PredictKernel(m machine.Machine, alpha float64, payloadBytes in
 // partition, we sum per-partition counts across ranks instead, which
 // measures the same quantity exactly rather than approximately.
 //
-// The scan runs in rank space (see neighborSpan); local need not be sorted.
+// The scan runs in rank space (see span); local need not be sorted.
 // Partition and Repartition price their candidates through the selector's
 // cached ranks and spans instead, so the curve is walked once per call
 // rather than once per candidate.
@@ -72,39 +71,17 @@ func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitt
 	ranks := make([]sfc.Rank128, len(local))
 	spans := make([]span, len(local))
 	for i, k := range local {
-		ranks[i] = curve.Rank(k)
-		spans[i] = neighborSpan(curve, k, ranks[i])
+		ranks[i], spans[i].lo, spans[i].hi = curve.FaceSpan(k)
 	}
 	return quality(c, curve.Dim, sp, ranks, spans)
 }
 
 // span is the closed rank interval covering an element and its in-domain
-// same-size face neighbors. An element without such neighbors (a level-0
-// root, say) spans just its own rank.
+// same-size face neighbors (sfc.Curve.FaceSpan). An element without such
+// neighbors (a level-0 root, say) spans just its own rank. It depends only
+// on the element, never on the splitters, so it is computed once per
+// element and reused for every candidate partition.
 type span struct{ lo, hi sfc.Rank128 }
-
-// neighborSpan returns the span of key k, whose own rank is self. It
-// depends only on the element, never on the splitters, so it is computed
-// once per element and reused for every candidate partition.
-//
-//alloc:zero
-func neighborSpan(curve *sfc.Curve, k sfc.Key, self sfc.Rank128) span {
-	s := span{self, self}
-	for _, f := range octree.Faces(curve.Dim) {
-		nk, ok := octree.FaceNeighbor(k, f)
-		if !ok {
-			continue
-		}
-		r := curve.Rank(nk)
-		if r.Less(s.lo) {
-			s.lo = r
-		}
-		if s.hi.Less(r) {
-			s.hi = r
-		}
-	}
-	return s
-}
 
 // quality is Algorithm 2 over precomputed element ranks and spans. An
 // element owned by partition o has its rank, and hence a point of its span,

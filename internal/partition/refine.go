@@ -47,7 +47,7 @@ type selector struct {
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
-	spans   []span        // spans[i] = neighborSpan(curve, local[i], ranks[i])
+	spans   []span        // spans[i] = the lo, hi of curve.FaceSpan(local[i])
 	pw      []int64       // pw[i] = sum of weights of local[:i]; nil when unweighted
 	buckets []bucket
 	targets []int64 // ideal global splitter ranks r·W/p, r = 1..p-1
@@ -70,8 +70,7 @@ func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, kmax int, weig
 	// workers (Options.Weight requires a pure function).
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s.ranks[i] = curve.Rank(local[i])
-			s.spans[i] = neighborSpan(curve, local[i], s.ranks[i])
+			s.ranks[i], s.spans[i].lo, s.spans[i].hi = curve.FaceSpan(local[i])
 			if w != nil {
 				w[i] = weight(local[i])
 			}

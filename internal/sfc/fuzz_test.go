@@ -49,3 +49,31 @@ func FuzzCompareConsistent(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFaceSpan fuzzes the fused kernel against the per-neighbor oracle over
+// both curves and dimensions and every level, on the valid key the fuzz
+// material aligns to and on the raw material itself (unaligned anchors,
+// coordinates past the domain, Z set in 2-D), where FaceSpan must still
+// agree with ranking each stepped neighbor.
+func FuzzFaceSpan(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint32(0), uint8(0), false, false)
+	f.Add(uint32(1<<29-1), uint32(1<<29), uint32(0), uint8(21), true, true)
+	f.Add(uint32(1<<29), uint32(1<<30-1), uint32(1<<29-1), uint8(30), true, true)
+	f.Add(uint32(1<<29-8), uint32(12345), uint32(7), uint8(27), true, false)
+	f.Fuzz(func(t *testing.T, x, y, z uint32, lvl uint8, hilbert, dim3 bool) {
+		kind, dim := Morton, 2
+		if hilbert {
+			kind = Hilbert
+		}
+		if dim3 {
+			dim = 3
+		}
+		c := NewCurve(kind, dim)
+		valid := clampKey(x, y, z, lvl)
+		if dim == 2 {
+			valid.Z = 0
+		}
+		checkFaceSpan(t, c, valid)
+		checkFaceSpan(t, c, Key{X: x, Y: y, Z: z, Level: valid.Level})
+	})
+}

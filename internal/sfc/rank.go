@@ -1,5 +1,7 @@
 package sfc
 
+import "math/bits"
+
 // This file linearizes the curve order into fixed-width integers. The
 // pre-order over octant keys that Compare walks one tree level at a time can
 // be materialized as a single number: the key's curve index padded with zero
@@ -158,16 +160,119 @@ func (c *Curve) hilbertRank2(k Key) Rank128 {
 		w = w<<2 | uint64(e&7)
 		s = uint32(e >> 3)
 	}
-	pad := uint(2*(MaxLevel-int(k.Level)) + rankLevelBits)
+	return c.padIndex(w, k.Level)
+}
+
+// padIndex pads a one-word curve index of a key at the given level to its
+// rank: zero digits down to MaxLevel, then the level (95 bits at most).
+func (c *Curve) padIndex(w uint64, level uint8) Rank128 {
+	pad := uint(c.Dim*(MaxLevel-int(level)) + rankLevelBits)
 	var hi, lo uint64
 	if pad >= 64 {
-		hi = w << (pad - 64) // only level 0 pads past 64, and then w == 0
+		hi = w << (pad - 64)
 	} else {
 		hi = w >> (64 - pad)
 		lo = w << pad
 	}
-	lo |= uint64(k.Level)
-	return Rank128{Hi: hi, Lo: lo}
+	return Rank128{Hi: hi, Lo: lo | uint64(level)}
+}
+
+// FaceSpan returns the key's rank together with the least and greatest rank
+// over the key and its in-domain same-level face neighbors, which is always
+// what Rank gives on the key and on each neighbor built by stepping one
+// anchor coordinate by ±Size (TestFaceSpanMatchesRank, FuzzFaceSpan).
+//
+// Hilbert keys whose index fits one word (all 2-D keys, 3-D up to level 21)
+// descend once: a neighbor's coordinate c' = c ± Size first differs at
+// level d = MaxLevel+1 − bits.Len32(c ^ c'), and the carry or borrow flips
+// every bit it reaches, so from level d down its label is the key's with
+// that axis bit flipped and its index resumes from the key's saved state
+// (on average for the last level or two). All neighbors share the key's
+// level, hence its padding and tiebreak, so the extremes are taken on the
+// unpadded words.
+//
+//alloc:zero
+func (c *Curve) FaceSpan(k Key) (self, lo, hi Rank128) {
+	if c.Kind == Hilbert && (c.Dim == 2 || k.Level <= 21) {
+		return c.hilbertFaceSpan(k)
+	}
+	self = c.Rank(k)
+	lo, hi = self, self
+	size := k.Size()
+	for f := 0; f < 2*c.Dim; f++ {
+		n := [3]uint32{k.X, k.Y, k.Z}
+		v, ok := faceStep(n[f>>1], size, f&1 == 1)
+		if !ok {
+			continue
+		}
+		n[f>>1] = v
+		r := c.Rank(Key{X: n[0], Y: n[1], Z: n[2], Level: k.Level})
+		if r.Less(lo) {
+			lo = r
+		}
+		if hi.Less(r) {
+			hi = r
+		}
+	}
+	return self, lo, hi
+}
+
+// hilbertFaceSpan is FaceSpan's one-word Hilbert path.
+//
+//alloc:zero
+func (c *Curve) hilbertFaceSpan(k Key) (self, lo, hi Rank128) {
+	tbl := (*[256]uint8)(c.posNext)
+	dim := uint(c.Dim)
+	level := int(k.Level)
+	xyz := [3]uint32{k.X, k.Y, k.Z}
+	if c.Dim == 2 {
+		xyz[2] = 0 // 2-D ranks never read Z
+	}
+	// states[t] and labels[t] are the state entered at level t and the label
+	// taken there; 32 slots, so indexing with t&31 needs no bounds check.
+	var states, labels [32]uint8
+	var w uint64
+	s := uint8(0)
+	for t := 1; t <= level; t++ {
+		shift := MaxLevel - t
+		label := uint8((xyz[0]>>shift)&1 | (xyz[1]>>shift)&1<<1 | (xyz[2]>>shift)&1<<2)
+		states[t&31], labels[t&31] = s, label
+		e := tbl[s<<3|label]
+		w = w<<dim | uint64(e&7)
+		s = e >> 3
+	}
+	wlo, whi := w, w
+	size := k.Size()
+	for f := 0; f < 2*c.Dim; f++ {
+		v := xyz[f>>1]
+		nv, ok := faceStep(v, size, f&1 == 1)
+		if !ok {
+			continue
+		}
+		// The step flips bit MaxLevel-level, so d ≤ level except at level 0,
+		// where d = 1 re-reads nothing; a wrap past the domain clamps to 1.
+		d := max(MaxLevel+1-bits.Len32(v^nv), 1)
+		nw := w >> (dim * uint(level+1-d))
+		ns := states[d&31]
+		flip := uint8(1) << (f >> 1)
+		for t := d; t <= level; t++ {
+			e := tbl[ns<<3|(labels[t&31]^flip)]
+			nw = nw<<dim | uint64(e&7)
+			ns = e >> 3
+		}
+		wlo, whi = min(wlo, nw), max(whi, nw)
+	}
+	return c.padIndex(w, k.Level), c.padIndex(wlo, k.Level), c.padIndex(whi, k.Level)
+}
+
+// faceStep returns the anchor coordinate v of a key of edge size stepped
+// across its minus or plus face, and whether that neighbor lies inside the
+// domain.
+func faceStep(v, size uint32, plus bool) (uint32, bool) {
+	if plus {
+		return v + size, v+size < 1<<MaxLevel
+	}
+	return v - size, v != 0
 }
 
 // morton3 interleaves three 30-bit coordinates into the 90-bit Morton word

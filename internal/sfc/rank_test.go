@@ -147,3 +147,87 @@ func clampKey(x, y, z uint32, level uint8) Key {
 	mask := ^lowMask(MaxLevel-int(level)) & (1<<MaxLevel - 1)
 	return Key{X: x & mask, Y: y & mask, Z: z & mask, Level: level}
 }
+
+// oracleFaceSpan is FaceSpan's literal definition: build each same-level
+// neighbor by stepping one anchor coordinate by ±Size, skip those outside
+// the domain, and rank every one from the root.
+func oracleFaceSpan(c *Curve, k Key) (self, lo, hi Rank128) {
+	self = c.Rank(k)
+	lo, hi = self, self
+	size := k.Size()
+	for axis := 0; axis < c.Dim; axis++ {
+		for _, plus := range []bool{false, true} {
+			xyz := [3]uint32{k.X, k.Y, k.Z}
+			switch {
+			case plus && xyz[axis]+size < 1<<MaxLevel:
+				xyz[axis] += size
+			case !plus && xyz[axis] != 0:
+				xyz[axis] -= size
+			default:
+				continue
+			}
+			r := c.Rank(Key{X: xyz[0], Y: xyz[1], Z: xyz[2], Level: k.Level})
+			if r.Less(lo) {
+				lo = r
+			}
+			if hi.Less(r) {
+				hi = r
+			}
+		}
+	}
+	return self, lo, hi
+}
+
+func checkFaceSpan(t *testing.T, c *Curve, k Key) {
+	t.Helper()
+	s, lo, hi := c.FaceSpan(k)
+	ws, wlo, whi := oracleFaceSpan(c, k)
+	if s != ws || lo != wlo || hi != whi {
+		t.Fatalf("%v dim=%d: FaceSpan(%v) = (%v, %v, %v), want (%v, %v, %v)",
+			c.Kind, c.Dim, k, s, lo, hi, ws, wlo, whi)
+	}
+}
+
+// TestFaceSpanMatchesRank holds the fused FaceSpan kernel to its oracle on
+// both curves and dimensions, at every level (0, 1, 21 and 22 — the edges
+// of the one-word 3-D path — and MaxLevel among them). Besides random keys,
+// every level tries each combination of coordinates on the low and high
+// domain faces and on either side of the mid-plane, where a ± step carries
+// or borrows through every bit so the neighbor diverges at level 1.
+func TestFaceSpanMatchesRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, kind := range []Kind{Morton, Hilbert} {
+		for _, dim := range []int{2, 3} {
+			c := NewCurve(kind, dim)
+			for level := 0; level <= MaxLevel; level++ {
+				size := uint32(1) << (MaxLevel - level)
+				var special []uint32
+				for _, v := range []uint32{0, 1<<(MaxLevel-1) - size, 1 << (MaxLevel - 1), 1<<MaxLevel - size} {
+					if v < 1<<MaxLevel && v%size == 0 {
+						special = append(special, v)
+					}
+				}
+				for trial := 0; trial < 300; trial++ {
+					k := randomKey(rng, dim, uint8(level))
+					xyz := [3]*uint32{&k.X, &k.Y, &k.Z}
+					for axis := 0; axis < dim; axis++ {
+						if j := rng.Intn(len(special) + 1); j < len(special) {
+							*xyz[axis] = special[j]
+						}
+					}
+					checkFaceSpan(t, c, k)
+				}
+				for _, x := range special {
+					for _, y := range special {
+						for _, z := range special {
+							if dim == 2 {
+								z = 0
+							}
+							checkFaceSpan(t, c, Key{X: x, Y: y, Z: z, Level: uint8(level)})
+						}
+					}
+				}
+			}
+		}
+	}
+}

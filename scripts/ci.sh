@@ -70,8 +70,13 @@ echo "==> quality-oracle fuzz smoke"
 # under fuzzed element sets and separator lists (RootKey, InfKey, repeats).
 go test -run '^$' -fuzz FuzzQualityMatchesOracle -fuzztime 10s ./internal/partition
 
+echo "==> face-span fuzz smoke"
+# The fused one-descent FaceSpan kernel against ranking each face neighbor
+# from the root, over both curves, both dimensions and every level.
+go test -run '^$' -fuzz FuzzFaceSpan -fuzztime 10s ./internal/sfc
+
 echo "==> hot-path benchmark smoke"
-go test -run '^$' -bench 'TreeSort|Partition' -benchtime 1x .
+go test -run '^$' -bench 'TreeSort|Partition|FaceSpan' -benchtime 1x .
 go test -run '^$' -bench 'Transport' -benchtime 1x ./internal/comm
 
 echo "==> BENCH_3.json / BENCH_5.json / BENCH_6.json / BENCH_7.json / BENCH_8.json / BENCH_10.json parse"
